@@ -31,7 +31,6 @@ if not (ROOT / "src" / "repro").is_dir():
     sys.exit(f"error: no program sources under {ROOT / 'src'}")
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
 from layers import SERVICE_IDLE, Spans, snapshot, solver_layers, traced  # noqa: E402
 from oracle import Answer, failures  # noqa: E402
 from repro.core import LazyMC  # noqa: E402
@@ -41,7 +40,11 @@ from workloads import (BATCH_WORKLOADS, CLIENTS, HOT_GRAPHS,  # noqa: E402
                        SERVICE_WORKLOAD, SETS, WORKERS, WORKLOADS, build_set,
                        service_graph, service_pass)
 
-SETUP_REPS = 3
+#: Set-up runs at least SETUP_MIN_REPS times and until SETUP_SECONDS have
+#: passed; setup_s is the median.  A service set-up takes milliseconds, so
+#: one run repeats it dozens of times.
+SETUP_MIN_REPS = 3
+SETUP_SECONDS = 1.0
 #: Wait limit per service request; a request past it counts as failed.
 REQUEST_TIMEOUT_S = 60.0
 
@@ -49,26 +52,27 @@ REQUEST_TIMEOUT_S = 60.0
 def quantile(values, q: float) -> float:
     """Harrell-Davis estimate of the ``q`` quantile (0 < q < 1).
 
-    A Beta((n+1)q, (n+1)(1-q))-weighted mean of all order statistics: on
-    the few dozen per-graph latencies of a batch workload it does not hinge
-    on the one or two solves that happen to sit at rank ``q * n``.  The
-    Beta CDF comes from its density summed over a fine midpoint grid.
+    A Beta-weighted mean of all order statistics: on the few dozen
+    per-graph latencies of a batch workload it does not hinge on the one or
+    two solves that happen to sit at rank ``q * n``.  Call it only after
+    peak RSS is read: importing scipy would add to it.
     """
-    x = np.sort(np.asarray(values, dtype=float))
-    n = len(x)
-    a, b = (n + 1) * q, (n + 1) * (1 - q)
-    m = 100_000
-    mid = (np.arange(m) + 0.5) / m
-    log_density = (a - 1) * np.log(mid) + (b - 1) * np.log1p(-mid)
-    density = np.exp(log_density - log_density.max())
-    cdf = np.concatenate([[0.0], np.cumsum(density)]) / density.sum()
-    edges = np.interp(np.arange(n + 1) / n, np.arange(m + 1) / m, cdf)
-    return float(np.diff(edges) @ x)
+    from scipy.stats.mstats import hdquantiles
+
+    return float(hdquantiles(values, prob=[q])[0])
 
 
 def rss_mb(who) -> float:
     """Peak resident set size in MB (``ru_maxrss`` is KB on Linux)."""
     return resource.getrusage(who).ru_maxrss / 1024.0
+
+
+def current_rss_mb() -> float:
+    """This process's resident set size now, in MB."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmRSS line in /proc/self/status")
 
 
 class Ledger:
@@ -156,8 +160,9 @@ class BatchRun:
         self.sets = [build_set(self.workload, self.seed, k)
                      for k in range(SETS[self.workload])]
         self.solver = LazyMC()
-        # Warm up on the same graph at every seed (the smallest registry
-        # analogue of the workload), so set-up time does not vary with it.
+
+    def warm_up(self) -> None:
+        # The same graph at every seed: the smallest registry analogue.
         warm = min((inst.build(0) for inst in BATCH_WORKLOADS[self.workload]),
                    key=lambda g: g.m)
         self.solver.solve(warm)
@@ -195,6 +200,7 @@ class BatchRun:
                 latency[(k, i)].append(time.perf_counter() - t0)
                 ledger.record(self._register(ledger, k, i), graph, answer)
             pass_s[k].append(time.perf_counter() - t_pass)
+        peak_rss_mb = rss_mb(resource.RUSAGE_SELF)
         # One value per set and per graph (the median of its repeats), so
         # sets solved once more than others near the time limit carry no
         # extra weight.
@@ -206,7 +212,7 @@ class BatchRun:
             "query_ms_p50": quantile(per_graph, 0.5),
             "query_ms_p90": quantile(per_graph, 0.9),
             "queries_per_s": ledger.attempted / sum(map(sum, pass_s.values())),
-            "peak_rss_mb": rss_mb(resource.RUSAGE_SELF),
+            "peak_rss_mb": peak_rss_mb,
             "_samples": f"{passes} passes over {len(self.sets)} sets, "
                         f"{len(per_graph)} graphs, {ledger.attempted} solves",
         }
@@ -238,8 +244,13 @@ class ServiceRun:
         self.graphs = {i: service_graph(self.seed, i)
                        for i in range(HOT_GRAPHS)}
         self.service = CliqueService(ServiceConfig(workers=WORKERS))
-        # Warm-up: fill the result cache with the hot graphs, which also
-        # starts the worker processes.
+        # The pool forks its workers on the first job; a forked worker's
+        # peak RSS starts from the parent's RSS at that moment.
+        self.fork_rss_mb = current_rss_mb()
+        self.service.pool.submit(int).result(REQUEST_TIMEOUT_S)
+
+    def warm_up(self) -> None:
+        """Fill the result cache with the hot graphs."""
         handles = [self.service.submit(JobSpec(graph=g))
                    for g in self.graphs.values()]
         self.hot = [h.result(REQUEST_TIMEOUT_S) for h in handles]
@@ -290,16 +301,21 @@ class ServiceRun:
 
     def measure(self, seconds: float, ledger: Ledger) -> dict:
         pass_s, log = self._serve(seconds, ledger)
-        latency = [lat * 1e3 for _, lat, _ in log]
         self.close()
+        # The workers have exited; RUSAGE_CHILDREN holds the largest one's
+        # peak, which counts the pages it shares with the parent since the
+        # fork.  Only its growth past them is added, once per worker: an
+        # upper bound on what the workers add to the parent's peak.
+        workers_mb = WORKERS * max(
+            0.0, rss_mb(resource.RUSAGE_CHILDREN) - self.fork_rss_mb)
+        peak_rss_mb = rss_mb(resource.RUSAGE_SELF) + workers_mb
+        latency = [lat * 1e3 for _, lat, _ in log]
         return {
             "solve_s": statistics.median(pass_s),
             "query_ms_p50": quantile(latency, 0.5),
             "query_ms_p90": quantile(latency, 0.9),
             "queries_per_s": len(log) / sum(pass_s),
-            # The workers have exited; RUSAGE_CHILDREN holds the largest.
-            "peak_rss_mb": rss_mb(resource.RUSAGE_SELF)
-            + WORKERS * rss_mb(resource.RUSAGE_CHILDREN),
+            "peak_rss_mb": peak_rss_mb,
             "_samples": f"{len(pass_s)} passes, {len(log)} requests",
         }
 
@@ -373,29 +389,33 @@ def main(argv=None) -> int:
         return BatchRun(args.workload, args.seed)
 
     setup_s = []
-    for rep in range(SETUP_REPS):
-        run = make()
-        t0 = time.perf_counter()
-        run.setup()
-        setup_s.append(time.perf_counter() - t0)
-        if rep < SETUP_REPS - 1:
-            run.close()
-
+    run = None
     ledger = Ledger()
+    start = time.perf_counter()
     try:
+        while (len(setup_s) < SETUP_MIN_REPS
+               or time.perf_counter() - start < SETUP_SECONDS):
+            if run is not None:
+                run.close()
+            run = make()
+            t0 = time.perf_counter()
+            run.setup()
+            setup_s.append(time.perf_counter() - t0)
+        run.warm_up()
         if args.trace:
             metrics = run.measure_traced(args.seconds, ledger)
         else:
             metrics = run.measure(args.seconds, ledger)
     finally:
-        run.close()
+        if run is not None:
+            run.close()
     failed = ledger.check()
     metrics["setup_s"] = statistics.median(setup_s)
     metrics["ok_frac"] = 1.0 - failed / ledger.attempted
 
     print(f"workload {args.workload}  seed {args.seed}  "
           f"trace {args.trace}  ({metrics.pop('_samples')}; "
-          f"setup median of {SETUP_REPS})")
+          f"setup median of {len(setup_s)})")
     print(f"  error_frac = {failed / ledger.attempted:.6g} "
           f"({failed}/{ledger.attempted})")
     for msg in ledger.problems[:20]:

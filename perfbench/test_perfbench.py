@@ -15,7 +15,6 @@ import pytest
 
 import layers
 import oracle
-import run
 import workloads
 from repro.core import LazyMC, LazyMCConfig
 from repro.datasets.registry import EXPECTED_OMEGA, REGISTRY
@@ -114,18 +113,6 @@ def test_oracle_flags_each_kind_of_wrong_answer():
                                known_omega=omega - 1)) == 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 24, 500])
-@pytest.mark.parametrize("q", [0.5, 0.9])
-def test_quantile_matches_harrell_davis_with_the_exact_beta_cdf(n, q):
-    from scipy.stats import beta
-
-    values = np.random.default_rng(n).lognormal(size=n)
-    x = np.sort(values)
-    edges = beta.cdf(np.arange(n + 1) / n, (n + 1) * q, (n + 1) * (1 - q))
-    assert run.quantile(values, q) == pytest.approx(np.diff(edges) @ x,
-                                                    rel=1e-3)
-
-
 def test_benchmark_json_follows_the_contract():
     assert set(SPEC) == {"command", "paths", "run_seconds", "workloads",
                          "end_to_end", "per_layer"}
@@ -159,9 +146,46 @@ def run_bench(cwd: Path, workload: str, seed: int, trace: int):
         cwd=cwd, capture_output=True, text=True, timeout=600)
 
 
-@pytest.mark.parametrize("workload,trace", [
-    (w, 0) for w in workloads.WORKLOADS] + [("web-zero-gap", 1),
-                                             ("service-mixed", 1)])
+def check_social_funnel(m):
+    # Filter 2 rejects nearly every neighborhood; the arms barely run.
+    assert m["filtering.after_filter2"] <= 0.05 * m["filtering.after_filter1"]
+    assert m["vc.s"] + m["mc.s"] <= 0.05 * m["systematic.s"]
+    assert m["mc.calls"] == 0
+
+
+def check_bio_dense(m):
+    # Most neighborhoods pass every filter and go to the k-VC arm.
+    assert m["filtering.after_filter3"] >= 0.5 * m["filtering.after_filter1"]
+    assert m["vc.calls"] == m["filtering.searched"] > 0
+    assert m["mc.calls"] == 0
+
+
+def check_web_zero_gap(m):
+    # The heuristics find omega on nearly every graph, so few neighborhoods
+    # are searched and the arms take a sliver of the search.
+    assert m["heuristics.found_omega_frac"] >= 0.75
+    assert m["filtering.searched_frac"] <= 0.15
+    assert m["vc.s"] + m["mc.s"] <= 0.05 * m["systematic.s"]
+    assert m["mc.calls"] == 0
+
+
+def check_service_mixed(m):
+    # Cache hits, degraded answers, and misses that mostly take the mc
+    # arm, the one traffic where it runs.
+    assert m["service.hit_rate"] >= 0.5
+    assert m["service.degraded"] > 0
+    assert m["mc.calls"] > m["vc.calls"]
+
+
+#: The property each workload was chosen for, in its traced metrics.
+DEFINING = {"social-funnel": check_social_funnel,
+            "bio-dense": check_bio_dense,
+            "web-zero-gap": check_web_zero_gap,
+            "service-mixed": check_service_mixed}
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_non_default_seed_end_to_end(workload, trace):
     proc = run_bench(ROOT, workload, 7, trace)
     assert proc.returncode == 0, proc.stderr
@@ -171,8 +195,11 @@ def test_non_default_seed_end_to_end(workload, trace):
     assert "error_frac = 0 " in proc.stdout
     expected = SPEC["per_layer"] if trace else SPEC["end_to_end"]
     assert set(result["metrics"]) == {m["name"] for m in expected}
-    if not trace:
-        assert all(m["value"] > 0 for m in result["metrics"].values())
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    if trace:
+        DEFINING[workload](metrics)
+    else:
+        assert all(v > 0 for v in metrics.values())
 
 
 def test_fails_without_the_program(tmp_path):

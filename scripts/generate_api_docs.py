@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -38,7 +39,10 @@ def first_paragraph(doc: str | None) -> str:
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        # Object defaults print their memory address; drop it so the
+        # output is the same on every run.
+        return re.sub(r" object at 0x[0-9a-f]+", "",
+                      str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return "(...)"
 

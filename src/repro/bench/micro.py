@@ -213,7 +213,7 @@ def _race_task(ctx, task, view, counters):
 def run_engine_race(n_tasks: int = 64, burn: int = 150_000,
                     needle_size: int = 8, processes: int = 2,
                     dataset: str = "WormNet") -> list[dict]:
-    """Race the sequential and process engines on the same workloads.
+    """Race the sequential (``sim`` at one thread) and process engines.
 
     Two workloads: the synthetic *needle* parfor above, and a full
     ``lazymc`` solve of ``dataset``.  Sequential-row counters are
@@ -236,7 +236,7 @@ def run_engine_race(n_tasks: int = 64, burn: int = 150_000,
         worker=_race_task)
 
     rows = []
-    for engine_name in ("seq", "process"):
+    for engine_name in ("sim", "process"):
         eng = create_engine(engine_name, processes=processes)
         if engine_name == "process":
             eng.set_worker_context(_race_context, ctx)
@@ -253,7 +253,7 @@ def run_engine_race(n_tasks: int = 64, burn: int = 150_000,
                  "pruned": outcomes.count("pruned"),
                  "work": eng.counters.work,
                  "publications": eng.publications}
-        if engine_name == "seq":
+        if engine_name == "sim":
             row.update(stats)
         else:
             row.update({f"ndet_{k}": v for k, v in stats.items()})
@@ -266,14 +266,14 @@ def run_engine_race(n_tasks: int = 64, burn: int = 150_000,
     from ..datasets import load
 
     graph = load(dataset)
-    for engine_name in ("seq", "process"):
+    for engine_name in ("sim", "process"):
         cfg = LazyMCConfig(engine=engine_name, processes=processes)
         t0 = time.perf_counter()
         result = lazymc(graph, cfg)
         wall = time.perf_counter() - t0
         row = {"name": f"lazymc-{dataset}", "engine": engine_name,
                "omega": result.omega, "wall_solve": wall}
-        if engine_name == "seq":
+        if engine_name == "sim":
             row["work"] = result.counters.work
         else:
             row["ndet_work"] = result.counters.work

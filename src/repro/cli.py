@@ -3,7 +3,7 @@
 Usage::
 
     lazymc solve <dataset-or-file> [--threads N] [--timeout S] [--algo NAME]
-                 [--engine sim|seq|process] [--processes N]
+                 [--engine sim|process] [--processes N]
                  [--json] [--verify] [--trace PATH]
     lazymc trace summarize|export|validate <trace.jsonl>
     lazymc bench <artifact|all> [--datasets a,b,c] [--repeats N] [--timeout S]
@@ -30,6 +30,7 @@ from pathlib import Path
 from .datasets import load, load_target, names
 from .errors import GraphLoadError
 from .graph.csr import CSRGraph
+from .parallel.engine import ENGINE_NAMES
 
 #: Where ``serve``/``query`` meet when neither --socket nor --port is given.
 DEFAULT_SOCKET = str(Path(tempfile.gettempdir()) / "lazymc.sock")
@@ -399,10 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "the bit-parallel BBMC kernel, or density-based auto "
                         "selection (lazymc only)")
     p.add_argument("--engine", default="sim",
-                   choices=["sim", "seq", "process"],
+                   choices=ENGINE_NAMES,
                    help="execution engine: deterministic simulated scheduler "
-                        "(default), zero-simulation sequential fast path, or "
-                        "real multiprocessing (lazymc and pmc)")
+                        "(default; sequential at --threads 1) or real "
+                        "multiprocessing (lazymc and pmc)")
     p.add_argument("--processes", type=int, default=0,
                    help="worker processes for --engine process "
                         "(0 = auto-size from the CPU count)")
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-sample", type=int, default=1, metavar="N",
                    help="trace sampling stride for captured jobs")
     p.add_argument("--engine", default="sim",
-                   choices=["sim", "seq", "process"],
+                   choices=ENGINE_NAMES,
                    help="default execution engine for jobs that leave "
                         "theirs unset")
     p.add_argument("--processes", type=int, default=0,
@@ -483,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["sets", "bits", "auto"],
                    help="MC sub-solver backend (lazymc only)")
     p.add_argument("--engine", default=None,
-                   choices=["sim", "seq", "process"],
+                   choices=ENGINE_NAMES,
                    help="execution engine for this job "
                         "(default: the server's default)")
     p.add_argument("--processes", type=int, default=0,
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--engine", default="sim",
-                   choices=["sim", "seq", "process"],
+                   choices=ENGINE_NAMES,
                    help="execution engine for artifacts that honor it "
                         "(fig7, engines)")
     p.add_argument("--output", default=None,

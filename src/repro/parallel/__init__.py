@@ -15,18 +15,15 @@ more work (§V-F, Fig. 7) — while remaining exactly reproducible run-to-run.
 With ``threads=1`` the simulation degenerates to plain sequential execution
 with a live incumbent.
 
-A :mod:`multiprocessing` pool (:mod:`repro.parallel.pool`) is provided for
-embarrassingly parallel *outer* loops (solving many graphs at once in the
-bench harness), where processes sidestep the GIL at the cost of no shared
-incumbent — exactly the trade-off the paper's related work discusses.
+Real parallelism lives behind the same ``parfor`` interface in
+:mod:`repro.parallel.engine` (``ProcessEngine``).
 """
 
 from .scheduler import SimulatedScheduler, TaskResult, ScheduleReport
 from .incumbent import Incumbent, IncumbentView
 from .locks import StripedLocks
-from .pool import POOL_METRICS, map_parallel, pool_fallbacks
 from .engine import (ENGINE_NAMES, EngineBody, ProcessEngine,
-                     SequentialEngine, SimulatedEngine, create_engine)
+                     SimulatedEngine, create_engine)
 
 __all__ = [
     "SimulatedScheduler",
@@ -35,13 +32,9 @@ __all__ = [
     "Incumbent",
     "IncumbentView",
     "StripedLocks",
-    "map_parallel",
-    "pool_fallbacks",
-    "POOL_METRICS",
     "ENGINE_NAMES",
     "EngineBody",
     "SimulatedEngine",
-    "SequentialEngine",
     "ProcessEngine",
     "create_engine",
 ]

@@ -4,18 +4,14 @@ The solvers (LazyMC's Alg. 1 phases, the PMC baseline) express their
 parallelism as *parfors over an incumbent*: every task runs against an
 :class:`~repro.parallel.incumbent.IncumbentView` and accumulates work into
 a task-local :class:`~repro.instrument.Counters`.  This module factors the
-execution of that shape behind one interface with three backends:
+execution of that shape behind one interface with two backends:
 
 ``sim``
     :class:`SimulatedEngine` — the deterministic virtual-time simulation
     of :mod:`repro.parallel.scheduler`, unchanged.  The default, and the
-    bit-identical continuation of every committed golden counter.
-``seq``
-    :class:`SequentialEngine` — plain sequential execution with a live
-    incumbent and no event simulation.  Provably equivalent to
-    ``SimulatedEngine(threads=1)``: with one simulated worker every
-    publication lands at a virtual time no later than the next task's
-    start, so the visible incumbent *is* the live incumbent.
+    bit-identical continuation of every committed golden counter.  At
+    ``threads=1`` it is plain sequential execution with a live
+    incumbent: every publication lands before the next task starts.
 ``process``
     :class:`ProcessEngine` — real ``multiprocessing``.  Per-parfor task
     batches are shipped to a worker pool; the incumbent *size* is shared
@@ -51,7 +47,7 @@ from .incumbent import Incumbent, IncumbentView
 from .scheduler import ScheduleReport, SimulatedScheduler, TaskResult
 
 #: Engine identifiers accepted by :func:`create_engine` and ``--engine``.
-ENGINE_NAMES = ("sim", "seq", "process")
+ENGINE_NAMES = ("sim", "process")
 
 
 @dataclass(frozen=True)
@@ -99,77 +95,6 @@ class SimulatedEngine(SimulatedScheduler):
 
     def close(self) -> None:
         """No pool to tear down."""
-
-    def info(self) -> dict:
-        """Uniform engine summary (the ``engine`` section of records)."""
-        return _engine_info(self)
-
-
-class SequentialEngine:
-    """Zero-simulation sequential execution with a live incumbent.
-
-    Equivalent to ``SimulatedEngine(threads=1)`` — same cliques, bit
-    identical counters — without the event-queue bookkeeping.  Virtual
-    time still advances by task cost so the report and the incumbent
-    history keep their work-unit semantics.
-    """
-
-    name = "seq"
-    external_workers = False
-
-    def __init__(self, threads: int = 1, counters: Counters | None = None):
-        # ``threads`` is accepted for interface symmetry; sequential
-        # execution is single-worker by definition.
-        self.threads = 1
-        self.counters = counters if counters is not None else Counters()
-        self.report = ScheduleReport()
-        self.now = 0.0
-        self.publications = 0
-        self.fallbacks: list[str] = []
-
-    def set_worker_context(self, builder, payload) -> None:
-        """No worker processes: nothing to ship."""
-
-    def close(self) -> None:
-        """No pool to tear down."""
-
-    def parfor(self, tasks: Sequence, body, incumbent: Incumbent) -> list[TaskResult]:
-        """Run ``body`` over ``tasks`` in order against the live incumbent.
-
-        One worker means no visibility lag: every publication lands before
-        the next task starts, so counters are bit-identical to the
-        simulator at ``threads=1`` (pinned in ``tests/parallel``).
-        """
-        run_task = body.inline if isinstance(body, EngineBody) else body
-        results: list[TaskResult] = []
-        t = self.now
-        for task in tasks:
-            # Live incumbent: sequentially, everything already published
-            # is visible — exactly ``visible_at(now)`` under one worker.
-            view = IncumbentView(incumbent.size, incumbent.clique)
-            local = Counters()
-            value = run_task(task, view, local)
-            cost = max(local.work, 1)
-            start, t = t, t + cost
-            pending = view.pending
-            if pending is not None and incumbent.publish_at(pending, t):
-                self.publications += 1
-            self.counters.merge(local)
-            results.append(TaskResult(task=task, start=start, finish=t,
-                                      cost=cost, worker=0, value=value))
-        self.report.makespan += t - self.now
-        self.report.total_work += sum(r.cost for r in results)
-        self.report.tasks.extend(results)
-        self.now = t
-        return results
-
-    def run_serial_section(self, cost: int, makespan_cost: int | None = None) -> None:
-        """Account a non-parfor section (same contract as the scheduler)."""
-        cost = max(cost, 0)
-        m = cost if makespan_cost is None else max(makespan_cost, 0)
-        self.now += m
-        self.report.makespan += m
-        self.report.total_work += cost
 
     def info(self) -> dict:
         """Uniform engine summary (the ``engine`` section of records)."""
@@ -412,7 +337,7 @@ class ProcessEngine:
 
 
 def _engine_info(engine) -> dict:
-    """The uniform ``engine`` summary shared by all three backends."""
+    """The uniform ``engine`` summary shared by both backends."""
     return {
         "backend": engine.name,
         "workers": engine.threads,
@@ -436,8 +361,6 @@ def create_engine(engine: str = "sim", threads: int = 1, processes: int = 0,
     """
     if engine == "sim":
         return SimulatedEngine(threads, counters)
-    if engine == "seq":
-        return SequentialEngine(counters=counters)
     if engine == "process":
         if processes <= 0:
             import os

@@ -17,11 +17,12 @@ the paper's own principle — manage *work*, not just wall time:
 * :class:`~repro.service.server.CliqueServer` + JSON-lines protocol — a
   local socket front end (``lazymc serve`` / ``lazymc query``) with
   JSON and Prometheus-style metrics export;
-* **fault tolerance** (``supervise=True``) —
-  :class:`~repro.service.supervisor.SupervisedPool` replaces crashed
-  workers, kills and retries hung jobs under a deadline watchdog, backs
-  retries off exponentially behind a per-algorithm circuit breaker, and
-  resumes retried ``lazymc`` searches from checkpoints
+* **fault tolerance** — jobs run on
+  :class:`~repro.service.supervisor.SupervisedPool`, which always
+  replaces crashed workers and keeps a per-algorithm circuit breaker;
+  with ``supervise=True`` it also kills and retries hung jobs under a
+  deadline watchdog, backs retries off exponentially, and resumes
+  retried ``lazymc`` searches from checkpoints
   (:mod:`repro.checkpoint`); every failure path is testable on demand via
   the seeded fault-injection plane in :mod:`repro.faults`.  See
   ``docs/robustness.md``.
@@ -38,7 +39,6 @@ Quickstart::
 
 from .cache import ResultCache
 from .jobs import JobHandle, JobResult, JobSpec, JobState
-from .pool import WorkerPool
 from .protocol import ServiceClient, decode_line, encode_message
 from .server import CliqueServer, handle_request
 from .service import CliqueService, ServiceConfig
@@ -56,7 +56,6 @@ __all__ = [
     "JobState",
     "JobEnv",
     "ResultCache",
-    "WorkerPool",
     "SupervisedPool",
     "handle_request",
     "encode_message",

@@ -129,7 +129,7 @@ class ServiceClient:
         ``trace_id`` asks the server to capture this job's search-tree
         trace under that id (requires the server to run with a trace
         directory; see ``lazymc serve --trace-dir``).  ``engine`` selects
-        the execution engine ("sim" | "seq" | "process"); ``None`` defers
+        the execution engine ("sim" | "process"); ``None`` defers
         to the server's default.
         """
         message: dict = {"op": "solve", "algo": algo, "threads": threads,

@@ -35,7 +35,6 @@ from ..graph.fingerprint import fingerprint
 from ..instrument import LATENCY_BUCKETS, WORK_BUCKETS, MetricsRegistry
 from .cache import ResultCache
 from .jobs import JobHandle, JobResult, JobSpec
-from .pool import WorkerPool
 from .supervisor import SupervisedPool
 from .worker import JobEnv, run_job
 
@@ -50,16 +49,18 @@ class ServiceConfig:
     own; ``None`` means unbounded — production deployments should set
     ``default_max_work`` so no request can burn unbounded effort.
 
-    ``supervise`` swaps the bare pool for a
-    :class:`~repro.service.supervisor.SupervisedPool`: crashed workers are
-    replaced, jobs past ``job_deadline`` are killed and retried (up to
-    ``max_retries`` times, with exponential backoff from ``retry_backoff``),
-    ``circuit_threshold`` consecutive permanent failures per algorithm
-    open a ``circuit_cooldown``-second circuit, and ``lazymc`` jobs
+    Jobs run on a :class:`~repro.service.supervisor.SupervisedPool` in
+    both modes.  Without ``supervise`` it has zero retries and no
+    deadline: a failed job fails once, and a crashed worker is replaced
+    for the next job.  ``supervise`` turns on recovery: jobs past
+    ``job_deadline`` are killed and retried (up to ``max_retries`` times,
+    with exponential backoff from ``retry_backoff``), and ``lazymc`` jobs
     checkpoint every ``checkpoint_interval_work`` work units so a retry
-    resumes instead of restarting.  ``fault_plan`` injects seeded faults
-    (:mod:`repro.faults`) into every job — for chaos tests and repro, not
-    production.
+    resumes instead of restarting.  In both modes ``circuit_threshold``
+    consecutive pool-level failures per algorithm open a
+    ``circuit_cooldown``-second circuit.  ``fault_plan`` injects seeded
+    faults (:mod:`repro.faults`) into every job — for chaos tests and
+    repro, not production.
 
     ``trace_dir`` enables per-job tracing: a job submitted with a
     ``trace_id`` writes its event stream to
@@ -120,18 +121,18 @@ class CliqueService:
         self.config = config if config is not None else ServiceConfig()
         self.metrics = MetricsRegistry()
         self._checkpoint_dir: str | None = None
-        if self.config.supervise:
-            self.pool: WorkerPool | SupervisedPool = SupervisedPool(
-                self.config.workers,
-                metrics=self.metrics,
-                max_retries=self.config.max_retries,
-                job_deadline=self.config.job_deadline,
-                backoff_base=self.config.retry_backoff,
-                circuit_threshold=self.config.circuit_threshold,
-                circuit_cooldown=self.config.circuit_cooldown)
+        supervise = self.config.supervise
+        self.pool = SupervisedPool(
+            self.config.workers,
+            metrics=self.metrics,
+            max_retries=self.config.max_retries if supervise else 0,
+            crash_retries=None if supervise else 0,
+            job_deadline=self.config.job_deadline if supervise else None,
+            backoff_base=self.config.retry_backoff,
+            circuit_threshold=self.config.circuit_threshold,
+            circuit_cooldown=self.config.circuit_cooldown)
+        if supervise:
             self._checkpoint_dir = tempfile.mkdtemp(prefix="lazymc-ckpt-")
-        else:
-            self.pool = WorkerPool(self.config.workers)
         self.results = ResultCache(self.config.cache_capacity)
         self.graphs = ResultCache(self.config.graph_cache_capacity)
         self._job_counter = 0
@@ -176,20 +177,10 @@ class CliqueService:
                 f"{self.config.max_queue_depth}")), fp)
 
         try:
-            if isinstance(self.pool, SupervisedPool):
-                inner = self.pool.submit(
-                    run_job, graph, spec.algo, spec.threads, spec.max_work,
-                    spec.max_seconds, spec.kernel, spec.engine,
-                    spec.processes, label=spec.algo,
-                    env_factory=self._env_factory(trace_path))
-            else:
-                env = JobEnv(trace_path=trace_path,
-                             trace_sample=self.config.trace_sample) \
-                    if trace_path is not None else None
-                inner = self.pool.submit(run_job, graph, spec.algo,
-                                         spec.threads, spec.max_work,
-                                         spec.max_seconds, spec.kernel,
-                                         spec.engine, spec.processes, env)
+            inner = self.pool.submit(
+                run_job, graph, spec.algo, spec.threads, spec.max_work,
+                spec.max_seconds, spec.kernel, spec.engine, spec.processes,
+                label=spec.algo, env_factory=self._env_factory(trace_path))
         except RuntimeError as exc:  # pool already shut down
             self.metrics.inc("jobs_failed")
             return self._completed(spec, JobResult.failure(exc), fp)

@@ -1,11 +1,11 @@
-"""Supervised worker pool: crash recovery, deadlines, retry, circuit breaking.
+"""The service's worker pool: crash recovery, deadlines, retry, circuits.
 
-The bare :class:`~repro.service.pool.WorkerPool` has no answer to a dead
-or wedged worker: a killed child poisons the ``ProcessPoolExecutor`` for
-every later job (``BrokenProcessPool``), and a hung solve holds its slot
-forever.  :class:`SupervisedPool` keeps the same surface (``submit`` ->
-``Future``, ``pending``, ``shutdown``) and adds the recovery ladder the
-distributed-MC literature prescribes for irregular search trees:
+A bare ``ProcessPoolExecutor`` has no answer to a dead or wedged worker:
+a killed child poisons it for every later job (``BrokenProcessPool``),
+and a hung solve holds its slot forever.  :class:`SupervisedPool` wraps
+one behind a ``submit`` -> ``Future`` / ``pending`` / ``shutdown``
+surface and adds the recovery ladder the distributed-MC literature
+prescribes for irregular search trees:
 
 * **crash detection** — a ``BrokenProcessPool`` retires the poisoned
   executor and lazily builds a fresh one (counted as ``worker_restarts``);
@@ -44,6 +44,11 @@ side.  A ``BrokenProcessPool`` fails *everything* submitted to the
 executor — throttling keeps that blast radius at O(workers) attempts per
 crash instead of the whole backlog, and makes the deadline clock start at
 (approximate) run start rather than enqueue time.
+
+With ``max_retries=0``, ``crash_retries=0`` and no deadline the pool is
+the plain, unsupervised pool: a failed job fails once, but a crashed
+worker still costs only the jobs it was running — the next job gets a
+fresh executor — and no watchdog thread runs.
 """
 
 from __future__ import annotations
@@ -57,7 +62,11 @@ from typing import Callable
 
 from ..errors import CircuitOpenError, WorkerCrashError
 from ..instrument import MetricsRegistry
-from .pool import START_METHODS
+
+#: Multiprocessing start methods, in preference order.  ``fork`` is the
+#: cheapest where available (Linux); ``spawn`` is the portable fallback
+#: (macOS, Windows) — only after both fail does the pool degrade to inline.
+START_METHODS = ("fork", "spawn")
 
 
 class _Job:
@@ -88,13 +97,14 @@ class _Job:
 class SupervisedPool:
     """Crash-surviving, deadline-enforcing, retrying worker pool.
 
-    Drop-in for :class:`~repro.service.pool.WorkerPool` where it matters
-    (``submit``/``pending``/``shutdown``/``mode``/``workers``), plus the
-    supervision knobs.  ``workers=0`` runs supervised-inline: jobs execute
-    synchronously on the submitting thread with the same retry and
-    circuit-breaker semantics (no deadline kill — nothing can interrupt
-    the calling thread — and no backoff sleeps, keeping embedded/test use
-    deterministic and fast).
+    ``workers=0`` runs inline: jobs execute synchronously on the
+    submitting thread with the same retry and circuit-breaker semantics
+    (no deadline kill — nothing can interrupt the calling thread — and no
+    backoff sleeps, keeping embedded/test use deterministic and fast).
+    ``workers >= 1`` creates a ``ProcessPoolExecutor`` lazily, trying each
+    start method in :data:`START_METHODS`; when every one fails ``mode``
+    becomes ``"inline"`` and jobs run inline from then on.  Either way a
+    job's exception reaches its future as :class:`WorkerCrashError`.
 
     ``submit(fn, *args, label=..., env_factory=...)``: ``label`` scopes
     the circuit breaker; ``env_factory(attempt)``, when given, produces
@@ -228,9 +238,16 @@ class SupervisedPool:
                         break
                     except Exception:
                         continue
+                else:
+                    self.mode = "inline"
             return self._executor
 
     def _ensure_watchdog(self) -> None:
+        # The watchdog enforces deadlines and relaunches due retries; with
+        # neither there is nothing to watch, and no thread is started.
+        if self.job_deadline is None and \
+                self.max_retries == 0 and self.crash_retries == 0:
+            return
         with self._lock:
             if self._watchdog is None or not self._watchdog.is_alive():
                 self._stop.clear()
@@ -258,7 +275,7 @@ class SupervisedPool:
             self._launch(job)
 
     def _launch(self, job: _Job) -> None:
-        if self._closed:
+        if self._closed or job.outer.cancelled():
             self._finalize(job, cancelled=True)
             return
         executor = self._ensure_executor()
@@ -276,15 +293,21 @@ class SupervisedPool:
                 job.started_at = time.monotonic()
                 job.killed = False
                 self._inflight[inner] = job
-        except BrokenProcessPool as exc:
-            # The executor died between jobs; retire it and retry through
-            # the normal failure path.
+        except BrokenProcessPool:
+            # The executor died between jobs and this one never ran:
+            # retire it and launch again on a fresh executor, spending no
+            # retry budget.
             self._retire(executor)
-            self._handle_failure(job, exc)
+            self._launch(job)
             return
         inner.add_done_callback(lambda f, j=job: self._job_done(j, f))
 
     def _job_done(self, job: _Job, inner: Future) -> None:
+        exc = None if inner.cancelled() else inner.exception()
+        if isinstance(exc, BrokenProcessPool):
+            # Retire before the slot frees, so no launch reaches the
+            # broken executor.
+            self._retire(job.executor)
         with self._lock:
             self._inflight.pop(inner, None)
             if job.inner is not inner:  # stale callback from a killed attempt
@@ -294,12 +317,9 @@ class SupervisedPool:
             if inner.cancelled():
                 self._finalize(job, cancelled=True)
                 return
-            exc = inner.exception()
             if exc is None:
                 self._finalize(job, result=inner.result())
                 return
-            if isinstance(exc, BrokenProcessPool):
-                self._retire(job.executor)
             self._handle_failure(job, exc)
         finally:
             self._pump()  # a worker slot just freed up

@@ -15,7 +15,7 @@ whatever systematic search completed).  The worker maps that onto
 heuristic-then-systematic structure, where a partial answer is always
 available the moment the budget trips.
 
-Fault tolerance: a :class:`JobEnv` (shipped per attempt by the supervised
+Fault tolerance: a :class:`JobEnv` (shipped per attempt by the service's
 pool) arms the :mod:`repro.faults` plan at the three hook sites and gives
 the solve its checkpoint file.  A ``lazymc`` job with a checkpoint path
 snapshots systematic-search progress there and, on a retried attempt,
@@ -82,7 +82,7 @@ def solve_graph(graph: CSRGraph, algo: str = "lazymc", threads: int = 1,
     tracing and the ``kernel`` backend selection ("sets" | "bits" |
     "auto") are wired for ``lazymc`` only — the baselines manage their
     own budgets and solvers.  ``engine`` selects the execution engine
-    ("sim" | "seq" | "process", see :mod:`repro.parallel.engine`) for
+    ("sim" | "process", see :mod:`repro.parallel.engine`) for
     the solvers that run on the engine layer (``lazymc`` and ``pmc``);
     note that inside a daemonic pool worker the process engine cannot
     spawn children and records a serial fallback instead of failing.

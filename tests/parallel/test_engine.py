@@ -5,9 +5,6 @@ Pinned properties, per the engine refactor's contract:
 * ``engine="sim"`` (the default) is the **bit-identical** continuation of
   the pre-engine solver: the golden counters from the tracing suite are
   asserted through the engine path, field for field.
-* ``SequentialEngine`` is equivalent to ``SimulatedEngine(threads=1)``:
-  same clique, same ω, bit-identical counters — the one-worker simulation
-  admits no visibility lag, so the live incumbent *is* the visible one.
 * ``ProcessEngine`` with real workers returns the exact maximum clique —
   on the seed datasets with a pinned pool of 2, and across the full
   dataset registry against the recorded ω values.
@@ -21,8 +18,8 @@ import pytest
 from repro import LazyMCConfig, lazymc
 from repro.datasets import EXPECTED_OMEGA, load, names
 from repro.instrument import Counters
-from repro.parallel import (EngineBody, Incumbent, ProcessEngine,
-                            SequentialEngine, SimulatedEngine, create_engine)
+from repro.parallel import (ENGINE_NAMES, EngineBody, Incumbent,
+                            ProcessEngine, SimulatedEngine, create_engine)
 
 from tests.trace.test_determinism import GOLDEN, nonzero
 
@@ -30,12 +27,12 @@ from tests.trace.test_determinism import GOLDEN, nonzero
 class TestCreateEngine:
     def test_names(self):
         assert isinstance(create_engine("sim", threads=4), SimulatedEngine)
-        assert isinstance(create_engine("seq"), SequentialEngine)
         assert isinstance(create_engine("process", processes=2), ProcessEngine)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             create_engine("threads")
+        assert ENGINE_NAMES == ("sim", "process")
 
     def test_process_auto_sizing_floors_at_two(self):
         # Even on a 1-CPU machine the auto-sized pool has >= 2 workers:
@@ -50,9 +47,13 @@ class TestCreateEngine:
         with pytest.raises(ValueError):
             LazyMCConfig(processes=-1)
 
+    def test_config_rejects_removed_seq_engine(self):
+        with pytest.raises(ValueError, match="sim, process"):
+            LazyMCConfig(engine="seq")
+
     def test_shared_counters_instance(self):
         c = Counters()
-        eng = create_engine("seq", counters=c)
+        eng = create_engine("sim", counters=c)
         assert eng.counters is c
 
 
@@ -70,34 +71,6 @@ class TestSimIsGoldenDefault:
         assert nonzero(result.counters) == GOLDEN[name]["counters"]
         assert result.engine["backend"] == "sim"
         assert result.engine["fallbacks"] == []
-
-
-class TestSequentialEquivalence:
-    """seq == sim(threads=1): same answer, bit-identical counters."""
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_counters_bit_identical(self, name):
-        graph = load(name)
-        sim = lazymc(graph, LazyMCConfig(threads=1, engine="sim"))
-        seq = lazymc(graph, LazyMCConfig(engine="seq"))
-        assert seq.omega == sim.omega
-        assert seq.clique == sim.clique
-        assert seq.counters.as_dict() == sim.counters.as_dict()
-        # And both equal the pinned golden values, closing the loop.
-        assert nonzero(seq.counters) == GOLDEN[name]["counters"]
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_schedule_totals_match(self, name):
-        graph = load(name)
-        sim = lazymc(graph, LazyMCConfig(threads=1, engine="sim"))
-        seq = lazymc(graph, LazyMCConfig(engine="seq"))
-        assert seq.schedule.total_work == sim.schedule.total_work
-        assert seq.schedule.makespan == sim.schedule.makespan
-
-    def test_seq_engine_section(self):
-        result = lazymc(load("dblp"), LazyMCConfig(engine="seq"))
-        assert result.engine["backend"] == "seq"
-        assert result.engine["workers"] == 1
 
 
 class TestProcessEngineExact:
@@ -189,7 +162,7 @@ def _publishing_worker(ctx, task, view, counters):
 
 class TestEngineUnits:
     def test_seq_counts_publications(self):
-        eng = SequentialEngine()
+        eng = SimulatedEngine(1)
         incumbent = Incumbent()
         body = EngineBody(
             inline=lambda t, v, c: _publishing_worker(None, t, v, c)[0],
@@ -215,8 +188,8 @@ class TestEngineUnits:
         assert eng.counters.work == 8
 
     def test_info_shape(self):
-        for engine_name in ("sim", "seq"):
-            info = create_engine(engine_name).info()
+        for engine_name in ("sim", "process"):
+            info = create_engine(engine_name, processes=2).info()
             assert set(info) == {"backend", "workers", "makespan",
                                  "total_work", "tasks", "publications",
                                  "wall_seconds", "start_method", "fallbacks"}

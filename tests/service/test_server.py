@@ -78,6 +78,13 @@ class TestHandleRequest:
             service, {"op": "solve", "edges": TRIANGLE})
         assert response["ok"] and response["omega"] == 3
 
+    def test_unknown_engine_lists_known_names(self, service):
+        response, stop = handle_request(
+            service, {"op": "solve", "edges": TRIANGLE, "engine": "seq"})
+        assert not response["ok"] and not stop
+        assert response["error_type"] == "ValueError"
+        assert "sim, process" in response["error"]
+
     def test_bad_target_is_structured(self, service):
         response, _ = handle_request(
             service, {"op": "solve", "target": "no-such"})

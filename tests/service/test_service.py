@@ -1,12 +1,13 @@
 """Tests for the query service core: cache, degradation, pool, admission."""
 
+import os
 import time
 from concurrent.futures import CancelledError, Future
 
 import pytest
 
 from repro.datasets import load, load_target
-from repro.errors import GraphLoadError
+from repro.errors import GraphLoadError, WorkerCrashError
 from repro.service import (
     CliqueService,
     JobHandle,
@@ -14,7 +15,7 @@ from repro.service import (
     JobSpec,
     JobState,
     ServiceConfig,
-    WorkerPool,
+    SupervisedPool,
 )
 
 
@@ -166,9 +167,10 @@ class TestAdmission:
 
 class TestWorkerPoolAndConcurrency:
     def test_inline_pool_captures_exceptions(self):
-        pool = WorkerPool(workers=0)
+        pool = SupervisedPool(0, max_retries=0, crash_retries=0)
         future = pool.submit(int, "not-a-number")
-        assert isinstance(future.exception(), ValueError)
+        assert isinstance(future.exception(), WorkerCrashError)
+        assert "ValueError" in str(future.exception())
 
     def test_concurrent_submits_through_process_pool(self):
         svc = CliqueService(ServiceConfig(workers=2))
@@ -185,17 +187,36 @@ class TestWorkerPoolAndConcurrency:
             svc.shutdown()
 
     def test_queued_job_cancellation(self):
-        pool = WorkerPool(workers=1)
-        if pool.mode != "process":
-            pytest.skip("multiprocessing unavailable")
+        pool = SupervisedPool(1, max_retries=0, crash_retries=0)
         try:
             blocker = pool.submit(time.sleep, 1.0)
+            if pool.mode != "process":
+                pytest.skip("multiprocessing unavailable")
             queued = pool.submit(time.sleep, 0.0)
             assert queued.cancel()
             assert queued.cancelled()
             blocker.result(timeout=30)
         finally:
             pool.shutdown()
+
+    def test_unsupervised_service_survives_a_worker_crash(self):
+        svc = CliqueService(ServiceConfig(workers=1))
+        try:
+            with pytest.raises(Exception):
+                svc.pool.submit(os._exit, 1).result(timeout=60)
+            result = svc.solve(JobSpec(target="CAroad", use_cache=False),
+                               timeout=120)
+            assert result.ok and result.omega == 4
+        finally:
+            svc.shutdown()
+
+    def test_unsupervised_service_starts_no_watchdog(self):
+        svc = CliqueService(ServiceConfig(workers=1))
+        try:
+            assert svc.solve(JobSpec(target="CAroad"), timeout=120).ok
+            assert svc.pool._watchdog is None
+        finally:
+            svc.shutdown()
 
     def test_handle_cancel_reaches_worker_future(self):
         spec = JobSpec(target="CAroad")

@@ -1,4 +1,4 @@
-"""SupervisedPool and WorkerPool robustness semantics (no real processes)."""
+"""SupervisedPool robustness semantics (mostly inline, few real processes)."""
 
 import time
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import CircuitOpenError, WorkerCrashError
 from repro.instrument import MetricsRegistry
-from repro.service import SupervisedPool, WorkerPool
+from repro.service import SupervisedPool
 
 
 def _flaky(fail_times: list) -> object:
@@ -174,9 +174,17 @@ class TestSupervisedProcessMode:
             pool.shutdown()
 
 
+def _unsupervised(workers: int) -> SupervisedPool:
+    """The pool as an unsupervised service builds it."""
+    return SupervisedPool(workers, max_retries=0, crash_retries=0)
+
+
 class TestWorkerPoolFallbacks:
+    """The service's worker pool without supervision: inline accounting,
+    interrupts, shutdown and start-method fallbacks."""
+
     def test_inline_pending_visible_during_execution(self):
-        pool = WorkerPool(0)
+        pool = _unsupervised(0)
         observed = []
 
         def job():
@@ -193,20 +201,20 @@ class TestWorkerPoolFallbacks:
             pool.shutdown()
 
     def test_inline_captures_exceptions_into_future(self):
-        pool = WorkerPool(0)
+        pool = _unsupervised(0)
 
         def bad():
             raise ValueError("nope")
 
         try:
             fut = pool.submit(bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(WorkerCrashError, match="ValueError: nope"):
                 fut.result(timeout=5)
         finally:
             pool.shutdown()
 
     def test_inline_reraises_keyboard_interrupt(self):
-        pool = WorkerPool(0)
+        pool = _unsupervised(0)
 
         def interrupt():
             raise KeyboardInterrupt
@@ -214,15 +222,17 @@ class TestWorkerPoolFallbacks:
         try:
             with pytest.raises(KeyboardInterrupt):
                 pool.submit(interrupt)
+            assert pool.pending == 0
         finally:
             pool.shutdown()
 
     def test_shutdown_twice_safe_and_terminal(self):
-        pool = WorkerPool(0)
+        pool = _unsupervised(1)
+        assert pool.submit(pow, 2, 5).result(timeout=60) == 32
         pool.shutdown()
         pool.shutdown(wait=False)
         with pytest.raises(RuntimeError):
-            pool.submit(lambda: 1)
+            pool.submit(pow, 2, 5)
 
     def test_degrades_inline_when_all_start_methods_fail(self, monkeypatch):
         import multiprocessing as mp
@@ -231,10 +241,12 @@ class TestWorkerPoolFallbacks:
             raise OSError(f"no {method} on this platform")
 
         monkeypatch.setattr(mp, "get_context", broken)
-        pool = WorkerPool(2)
+        pool = _unsupervised(2)
         try:
+            assert pool.mode == "process"
             assert pool.submit(lambda: "served").result(timeout=5) == "served"
             assert pool.mode == "inline"
+            assert pool.submit(lambda: "again").result(timeout=5) == "again"
         finally:
             pool.shutdown()
 
@@ -251,10 +263,36 @@ class TestWorkerPoolFallbacks:
             return real(method)
 
         monkeypatch.setattr(mp, "get_context", picky)
-        pool = WorkerPool(1)
+        pool = _unsupervised(1)
         try:
             assert pool.submit(pow, 3, 2).result(timeout=60) == 9
             assert tried == ["fork", "spawn"]
             assert pool.mode == "process"
         finally:
             pool.shutdown()
+
+
+class TestUnsupervisedPool:
+    def test_job_that_never_ran_is_not_charged_for_a_dead_executor(self):
+        metrics = MetricsRegistry()
+        pool = SupervisedPool(1, metrics=metrics, max_retries=0,
+                              crash_retries=0)
+        try:
+            assert pool.submit(pow, 2, 1).result(timeout=60) == 2
+            # The executor dies between jobs: submit() itself raises
+            # BrokenProcessPool before the next job ever runs.
+            pool._executor._broken = "worker died between jobs"
+            assert pool.submit(pow, 2, 3).result(timeout=60) == 8
+            assert metrics.counter("worker_restarts") == 1
+        finally:
+            pool.shutdown()
+
+    def test_watchdog_runs_when_there_is_something_to_watch(self):
+        for pool in (SupervisedPool(1, max_retries=0, crash_retries=0,
+                                    job_deadline=30.0),
+                     SupervisedPool(1, max_retries=1)):
+            try:
+                assert pool.submit(pow, 2, 2).result(timeout=60) == 4
+                assert pool._watchdog is not None
+            finally:
+                pool.shutdown()

@@ -228,6 +228,18 @@ class TestOtherCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["solve", "serve", "query", "bench"])
+    def test_engine_choices_are_the_engine_names(self, command):
+        from repro.parallel import ENGINE_NAMES
+
+        target = [] if command == "serve" else ["CAroad"]
+        for engine in ENGINE_NAMES:
+            args = build_parser().parse_args(
+                [command, *target, "--engine", engine])
+            assert args.engine == engine
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, *target, "--engine", "seq"])
+
 
 class TestDatasetFlags:
     def test_export(self, tmp_path, capsys):

@@ -28,7 +28,6 @@ import numpy as np
 from ..instrument import Counters, WorkBudget
 from ..intersect.bitmatrix import BitMatrix
 from ..intersect.early_exit import intersect_size_gt_bool, intersect_size_gt_val
-from ..intersect.hashset import HopscotchSet
 from ..mc.bitkernel import BitMCSubgraphSolver
 from ..mc.branch_bound import MCSubgraphSolver
 from ..parallel.incumbent import IncumbentView
@@ -184,10 +183,10 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
     # round — the paper's default r=2 is exactly filter 2 + filter 3.
     m_hat = 0
     rounds = config.filter_rounds
-    cand_set: HopscotchSet | None = None
+    cand_set: set[int] | None = None
     for rnd in range(rounds):
         if cand_set is None:
-            cand_set = HopscotchSet.from_iterable(int(x) for x in cand)
+            cand_set = set(cand.tolist())
             counters.hash_inserts += len(cand)
         final_round = (rnd == rounds - 1)
         survivors = []
@@ -231,8 +230,6 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
                     removed.add(u)
         cand = np.asarray(survivors, dtype=np.int64)
         if len(cand) < cstar:
-            if rnd == 0 and rounds == 1:
-                pass  # a lone val round is both the f2 and f3 stage
             if tracer.enabled:
                 technique = "advance_filter" if final_round \
                     else "early_exit_filter"
@@ -242,8 +239,6 @@ def _neighbor_search_body(lazy: LazyGraph, v: int, view: IncumbentView,
             funnel.after_filter2 += 1
     if rounds >= 1:
         funnel.after_filter3 += 1
-        if rounds == 1:
-            pass  # after_filter2 was already counted by the rnd==0 branch
 
     # Density from m̂ (directed count over survivors).
     k = len(cand)

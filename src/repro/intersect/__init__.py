@@ -4,7 +4,8 @@ The MC problem is dominated by set intersections of the form "is the
 intersection bigger than θ?" (§IV-B).  This subpackage provides:
 
 * :class:`~repro.intersect.hashset.HopscotchSet` — the paper's hash set
-  (hopscotch hashing, neighborhood H = 16, bitmask hop-information).
+  (hopscotch hashing, neighborhood H = 16, bitmask hop-information), the
+  reference implementation; the solver hashes with builtin ``set``.
 * :mod:`~repro.intersect.sorted_ops` — merge and galloping intersections on
   sorted arrays.
 * :mod:`~repro.intersect.early_exit` — the three early-exit kernels

@@ -1,5 +1,7 @@
 """Tests for the lazy filtered hashed relabelled graph (Alg. 2)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,48 @@ class TestCorrectness:
         assert all(lazy.core[u] >= 3 for u in right)
 
 
+class TestHashOnlyArray:
+    def test_neighborhood_array_of_hash_only_vertex(self):
+        # Ids well above each set's table size: a builtin set of small ints
+        # iterates in ascending order and would hide a missing sort.
+        g = random_graph(200, 0.1, seed=14)
+        lazy, _, _ = make_lazy(g)
+        fresh, _, _ = make_lazy(g)
+        for v in range(g.n):
+            lazy.hashed_neighborhood(v, min_core=2)
+            arr = lazy.neighborhood_array(v, min_core=2)
+            assert arr.dtype == np.int64
+            assert np.all(arr[:-1] < arr[1:])
+            np.testing.assert_array_equal(
+                arr, fresh.sorted_neighborhood(v, min_core=2))
+            # Memoized as the sorted rep, without a second build.
+            assert lazy.neighborhood_array(v) is arr
+            assert lazy.built_counts() == (v + 1, v + 1)
+        assert lazy.counters.neighborhoods_built_sorted == 0
+
+
+class TestPickle:
+    def test_round_trip_with_both_reps(self):
+        g = random_graph(30, 0.4, seed=15)
+        lazy, _, _ = make_lazy(g)
+        for v in range(0, g.n, 2):
+            lazy.hashed_neighborhood(v)
+            lazy.sorted_neighborhood(v)
+        clone = pickle.loads(pickle.dumps(lazy))
+        assert clone.built_counts() == lazy.built_counts()
+        for v in range(0, g.n, 2):
+            assert clone.hashed_neighborhood(v) == lazy.hashed_neighborhood(v)
+            np.testing.assert_array_equal(clone.sorted_neighborhood(v),
+                                          lazy.sorted_neighborhood(v))
+        # Further builds work on the clone (fresh locks) and leave the
+        # original alone.
+        n_hash, n_sorted = lazy.built_counts()
+        assert list(clone.sorted_neighborhood(1)) == \
+            sorted(clone.hashed_neighborhood(1))
+        assert clone.built_counts() == (n_hash + 1, n_sorted + 1)
+        assert lazy.built_counts() == (n_hash, n_sorted)
+
+
 class TestRepresentationChoice:
     def test_degree_rule(self):
         # Star: center has high degree -> hash; leaves low degree -> sorted.
@@ -102,10 +146,9 @@ class TestRepresentationChoice:
         lazy, order, _ = make_lazy(g, config=cfg)
         center = order.original_to_relabelled(0)
         leaf = order.original_to_relabelled(1)
-        from repro.intersect import HopscotchSet
 
-        assert isinstance(lazy.membership_set(center), HopscotchSet)
-        assert not isinstance(lazy.membership_set(leaf), HopscotchSet)
+        assert isinstance(lazy.membership_set(center), set)
+        assert not isinstance(lazy.membership_set(leaf), set)
 
     def test_existing_rep_preferred(self):
         g = random_graph(10, 0.5, seed=9)
@@ -114,9 +157,8 @@ class TestRepresentationChoice:
         ms = lazy.membership_set(2)  # must reuse sorted rep, not build hash
         assert lazy.built_counts() == (0, 1)
         lazy.hashed_neighborhood(2)
-        from repro.intersect import HopscotchSet
 
-        assert isinstance(lazy.membership_set(2), HopscotchSet)
+        assert isinstance(lazy.membership_set(2), set)
 
 
 class TestPrepopulate:

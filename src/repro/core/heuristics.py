@@ -10,7 +10,10 @@ finds.
   adding the candidate with the highest degree inside the shrinking
   candidate set — the argmax computed with ``intersect_size_gt_val`` under
   a running-maximum threshold, so most candidates' intersections exit
-  early.
+  early.  Candidates are a Python list probed against builtin sets (the
+  candidate set, or a set of the probed row when that row is longer);
+  the probe sets are lookup structures and charge no ``hash_inserts``,
+  as the sorted-array wrapper they replace charged none.
 * **Coreness-based** (Alg. 6) runs on the lazy relabelled graph, one seed
   per coreness level, always extending with the highest-numbered (=
   highest-coreness) candidate; the candidate set is narrowed with
@@ -24,7 +27,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..instrument import Counters
-from ..intersect.early_exit import SortedArraySet, intersect_gt, intersect_size_gt_val
+from ..intersect.early_exit import intersect_gt, intersect_size_gt_val
 from ..parallel.incumbent import Incumbent, IncumbentView
 from .config import LazyMCConfig
 from .lazygraph import LazyGraph
@@ -53,43 +56,43 @@ def degree_based_heuristic_search(graph: CSRGraph, incumbent: Incumbent,
         # Work-avoidance on the seeds themselves: a seed inside the
         # already-known incumbent clique would greedily re-derive that
         # same clique (top-degree seeds cluster inside dominant cliques).
-        if int(v) in view.clique:
+        if v in view.clique:
             return
-        nbrs = graph.neighbors(int(v))
+        nbrs = graph.neighbors(v)
         counters.elements_scanned += len(nbrs)
-        cand = nbrs[degrees[nbrs] >= view.size]  # degree pre-filter (line 4)
-        clique = [int(v)]
-        buf = np.empty(len(cand), dtype=np.int64)
-        while len(cand):
-            cand_set = set(int(x) for x in cand)
+        # Degree pre-filter (line 4).
+        cand = nbrs[degrees[nbrs] >= view.size].tolist()
+        clique = [v]
+        buf = [0] * len(cand)
+        while cand:
+            cand_set = set(cand)
             counters.hash_inserts += len(cand)
             best_u = -1
             best_d = -1  # running maximum = θ for every probe
             for w in cand:
-                w = int(w)
                 row = graph.neighbors(w)
                 # Induced degree |cand ∩ N(w)| is symmetric: scan the
                 # smaller side so the running-max threshold exits sooner.
                 if len(row) <= len(cand):
-                    d = intersect_size_gt_val(row, cand_set, best_d,
+                    d = intersect_size_gt_val(row.tolist(), cand_set, best_d,
                                               counters, config.early_exit)
                 else:
-                    d = intersect_size_gt_val(cand, SortedArraySet(row),
+                    d = intersect_size_gt_val(cand, set(row.tolist()),
                                               best_d, counters,
                                               config.early_exit)
                 if d > best_d:
                     best_d = d
                     best_u = w
             if best_u < 0:  # all probes refused: candidates are isolated
-                best_u = int(cand[0])
+                best_u = cand[0]
             clique.append(best_u)
             # cand <- cand ∩ N(best_u); θ = -1 always materializes.
-            size = intersect_gt(cand, SortedArraySet(graph.neighbors(best_u)),
+            size = intersect_gt(cand, set(graph.neighbors(best_u).tolist()),
                                 buf, -1, counters, config.early_exit)
-            cand = buf[:size].copy() if size > 0 else np.empty(0, dtype=np.int64)
+            cand = buf[:size]
         view.offer(clique)
 
-    engine.parfor(list(map(int, top)), run, incumbent)
+    engine.parfor(top.tolist(), run, incumbent)
 
 
 def coreness_based_heuristic_search(lazy: LazyGraph, incumbent: Incumbent,
@@ -105,8 +108,7 @@ def coreness_based_heuristic_search(lazy: LazyGraph, incumbent: Incumbent,
     # Lowest-numbered vertex of each level; core is non-decreasing in the
     # relabelled order, so the first occurrence per value suffices.
     first_at_level: dict[int, int] = {}
-    for v in range(lazy.n):
-        c = int(core[v])
+    for v, c in enumerate(core.tolist()):
         if c >= 0 and c not in first_at_level:
             first_at_level[c] = v
     levels = [k for k in range(degeneracy, 0, -1) if k in first_at_level]

@@ -109,8 +109,7 @@ def systematic_search(lazy: LazyGraph, incumbent: Incumbent,
     # so levels are contiguous id ranges.
     levels: dict[int, list[int]] = {}
     first_at_level: dict[int, int] = {}
-    for v in range(n):
-        c = int(core[v])
+    for v, c in enumerate(core.tolist()):
         if c < 0:
             continue
         levels.setdefault(c, []).append(v)

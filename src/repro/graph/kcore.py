@@ -1,7 +1,8 @@
 """k-core decomposition and degeneracy.
 
 Implements Matula & Beck's linear-time peeling algorithm with the classic
-bucket data structure (``bin_start`` / ``pos`` / ``vert`` arrays).  The
+bucket data structure (``bin_start`` / ``pos`` / ``vert`` arrays, built
+with numpy and peeled as Python lists, one adjacency row at a time).  The
 peeling order it produces is the degeneracy order used by most MC solvers:
 it guarantees every right-neighborhood has size at most the coreness of its
 vertex (Eppstein et al.), which is why the paper sorts by (coreness, degree)
@@ -24,58 +25,54 @@ def _peel(degrees: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
           alive: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Core peeling loop.
 
-    Returns ``(core, order)`` where ``core[v]`` is the coreness of ``v`` and
-    ``order`` lists vertices in peeling (degeneracy) order.  Vertices with
-    ``alive[v] == False`` are excluded entirely (coreness -1, absent from
-    the order).
+    Returns ``(core, order)`` as ``int64`` arrays, where ``core[v]`` is the
+    coreness of ``v`` and ``order`` lists vertices in peeling (degeneracy)
+    order.  Vertices with ``alive[v] == False`` are excluded entirely
+    (coreness -1, absent from the order).
+
+    The set-up (degrees, buckets, positions) is vectorized; the peel
+    itself walks Python lists, since indexing numpy scalars one at a time
+    costs several times as much as indexing a list.
     """
     n = len(degrees)
+    core = np.full(n, -1, dtype=np.int64)
     if alive is None:
-        alive_mask = np.ones(n, dtype=bool)
-        deg = degrees.astype(np.int64).copy()
+        alive = np.ones(n, dtype=bool)
+        deg_arr = np.asarray(degrees, dtype=np.int64)
     else:
-        alive_mask = alive.copy()
         # Degrees restricted to the alive subgraph: counting edges to
         # excluded vertices would inflate coreness values.
-        deg = np.zeros(n, dtype=np.int64)
-        for v in np.flatnonzero(alive_mask):
-            deg[v] = int(alive_mask[indices[indptr[v]:indptr[v + 1]]].sum())
-    nv = int(alive_mask.sum())
-    core = np.full(n, -1, dtype=np.int64)
+        hits = np.zeros(len(indices) + 1, dtype=np.int64)
+        np.cumsum(alive[indices], out=hits[1:])
+        deg_arr = np.where(alive, hits[indptr[1:]] - hits[indptr[:-1]], 0)
+    ids = np.flatnonzero(alive)
+    nv = len(ids)
     if nv == 0:
         return core, np.empty(0, dtype=np.int64)
 
-    max_deg = int(deg[alive_mask].max()) if nv else 0
-    # Bucket sort vertices by current degree.
-    bin_count = np.zeros(max_deg + 2, dtype=np.int64)
-    for v in range(n):
-        if alive_mask[v]:
-            bin_count[deg[v]] += 1
-    bin_start = np.zeros(max_deg + 2, dtype=np.int64)
-    np.cumsum(bin_count[:-1], out=bin_start[1:])
-    vert = np.empty(nv, dtype=np.int64)
-    pos = np.full(n, -1, dtype=np.int64)
-    fill = bin_start.copy()
-    for v in range(n):
-        if alive_mask[v]:
-            d = deg[v]
-            vert[fill[d]] = v
-            pos[v] = fill[d]
-            fill[d] += 1
+    # Bucket sort vertices by current degree: vert lists them by
+    # (degree, id), pos is the inverse, and bin_start[d] is the first
+    # index in vert of a vertex with current degree d.
+    alive_deg = deg_arr[ids]
+    vert_arr = ids[np.argsort(alive_deg, kind="stable")]
+    pos_arr = np.full(n, -1, dtype=np.int64)
+    pos_arr[vert_arr] = np.arange(nv, dtype=np.int64)
+    bin_count = np.bincount(alive_deg)
+    bin_start = np.concatenate(([0], np.cumsum(bin_count)[:-1])).tolist()
+    vert = vert_arr.tolist()
+    pos = pos_arr.tolist()
+    deg = deg_arr.tolist()
+    ptr = indptr.tolist()
+    peeled_at = [0] * nv  # degree of vert[i] when it was peeled
 
-    # bin_start[d] = first index in vert of a vertex with current degree d.
-    order = np.empty(nv, dtype=np.int64)
     for i in range(nv):
         v = vert[i]
         dv = deg[v]
-        core[v] = dv
-        order[i] = v
+        peeled_at[i] = dv
         # Decrement the degree of each still-unpeeled neighbor, moving it
-        # one bucket down by swapping it with the first vertex of its bucket.
-        for u in indices[indptr[v]:indptr[v + 1]]:
-            u = int(u)
-            if not alive_mask[u]:
-                continue
+        # one bucket down by swapping it with the first vertex of its
+        # bucket.  Excluded vertices have pos -1 and are never touched.
+        for u in indices[ptr[v]:ptr[v + 1]].tolist():
             if deg[u] > dv and pos[u] > i:
                 du = deg[u]
                 pu = pos[u]
@@ -89,15 +86,11 @@ def _peel(degrees: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
                     pos[u], pos[w] = pw, pu
                 bin_start[du] = pw + 1
                 deg[u] = du - 1
+    # Slots at or below i are never written again, so vert is the order.
+    order = np.array(vert, dtype=np.int64)
     # Coreness must be the running maximum along the peeling order: a vertex
     # peeled after another cannot have smaller coreness than the max so far.
-    running = 0
-    for i in range(nv):
-        v = order[i]
-        if core[v] < running:
-            core[v] = running
-        else:
-            running = int(core[v])
+    core[order] = np.maximum.accumulate(np.array(peeled_at, dtype=np.int64))
     return core, order
 
 

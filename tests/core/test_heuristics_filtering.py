@@ -171,3 +171,44 @@ class TestNeighborSearch:
         a.merge(b)
         assert a.considered == 5
         assert a.density_work == {1: 7, 4: 7}
+
+
+def hub_plus_clique():
+    """K8 on 0..7, plus a hub 8 adjacent to 0..3 and to 50 leaves 9..58.
+
+    Seeded at a clique vertex, the candidate set holds the hub, whose row
+    (54) is longer than the candidates (8), so the heuristic scans the
+    candidates against the hub's row; every other candidate's row is no
+    longer than the candidates, so that row is scanned against them.
+    """
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    edges += [(8, u) for u in range(4)]
+    edges += [(8, leaf) for leaf in range(9, 59)]
+    return from_edges(59, edges)
+
+
+#: Alg. 5's counters on :func:`hub_plus_clique`, as first recorded with
+#: ``SortedArraySet`` probes; builtin-set probes must charge the same.
+PINNED_HUB_COUNTERS = {"elements_scanned": 298, "intersections": 99,
+                       "early_exit_false": 67, "hash_lookups": 237,
+                       "hash_inserts": 88}
+
+
+class TestDegreeHeuristicOrientations:
+    def test_graph_takes_both_orientations(self):
+        g = hub_plus_clique()
+        cand = g.neighbors(0)
+        longer = [int(w) for w in cand if g.degree(int(w)) > len(cand)]
+        assert longer == [8]
+        assert any(g.degree(int(w)) <= len(cand) for w in cand)
+
+    def test_clique_and_counters_pinned(self):
+        g = hub_plus_clique()
+        cfg = LazyMCConfig()
+        inc = Incumbent()
+        inc.offer([0])
+        sched = SimulatedScheduler(cfg.threads)
+        degree_based_heuristic_search(g, inc, cfg, sched)
+        assert sorted(inc.clique) == list(range(8))
+        assert {k: v for k, v in sched.counters.as_dict().items() if v} == \
+            PINNED_HUB_COUNTERS

@@ -151,3 +151,42 @@ class TestKCoreSubgraph:
                 sub, verts = kcore_subgraph(g, k)
                 if sub.n:
                     assert int(sub.degrees.min()) >= k
+
+
+class TestPeelArrays:
+    """``_peel`` returns ``int64`` arrays whatever the ``alive`` mask."""
+
+    @staticmethod
+    def peel(graph, alive=None):
+        from repro.graph.kcore import _peel
+
+        return _peel(graph.degrees, graph.indptr, graph.indices, alive=alive)
+
+    def test_empty_graph(self):
+        core, order = self.peel(empty_graph(0))
+        assert core.dtype == np.int64 and order.dtype == np.int64
+        assert len(core) == 0 and len(order) == 0
+
+    def test_all_filtered_mask(self):
+        g = random_graph(20, 0.3, seed=2)
+        core, order = self.peel(g, alive=np.zeros(g.n, dtype=bool))
+        assert core.dtype == np.int64 and order.dtype == np.int64
+        assert core.tolist() == [-1] * g.n
+        assert len(order) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_mask_is_coreness_of_alive_subgraph(self, seed):
+        from repro.graph.subgraph import induced_subgraph
+
+        g = random_graph(40, 0.2, seed=seed + 30)
+        alive = np.random.default_rng(seed).random(g.n) < 0.6
+        core, order = self.peel(g, alive=alive)
+        assert core.dtype == np.int64 and order.dtype == np.int64
+        ids = np.flatnonzero(alive)
+        assert sorted(order.tolist()) == ids.tolist()
+        assert core[~alive].tolist() == [-1] * int((~alive).sum())
+        sub = induced_subgraph(g, ids)
+        assert core[ids].tolist() == naive_coreness(sub)
+        # Coreness never decreases along the peeling order.
+        along = core[order]
+        assert np.all(along[1:] >= along[:-1])

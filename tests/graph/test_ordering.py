@@ -128,3 +128,19 @@ class TestRelabelGraph:
         g = complete_graph(6)
         order = VertexOrder.from_sequence(np.array([5, 3, 1, 0, 2, 4]))
         assert relabel_graph(g, order) == g
+
+
+class TestCorenessDegreeOrderIsLexsort:
+    @given(st.integers(0, 30), st.floats(0.0, 0.7), st.integers(0, 10_000),
+           st.integers(0, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_lexsort(self, n, p, seed, bound):
+        """The two chained stable sorts are ``lexsort((degree, coreness))``,
+        also when a degree bound filters vertices to coreness -1."""
+        from repro.graph.kcore import coreness_degree_filtered
+
+        g = random_graph(n, p, seed=seed)
+        core = coreness_degree_filtered(g, bound)
+        order = coreness_degree_order(g, core)
+        expected = np.lexsort((g.degrees, core))
+        assert order.new_to_old.tolist() == expected.tolist()

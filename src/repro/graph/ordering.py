@@ -92,9 +92,10 @@ def coreness_degree_order(graph: CSRGraph, core: np.ndarray) -> VertexOrder:
     """Sort by (coreness, degree), both increasing — the paper's order.
 
     Implemented as two chained stable sorts (degree first, then
-    coreness), the SAPCo-sort + stable-counting-sort pipeline of §IV-F.  Vertices with negative coreness (filtered out by the bounded
-    k-core computation) sort before everything else; they are never
-    searched, so their position only needs to be consistent.
+    coreness), the SAPCo-sort + stable-counting-sort pipeline of §IV-F.
+    Vertices with negative coreness (filtered out by the bounded k-core
+    computation) sort before everything else; they are never searched,
+    so their position only needs to be consistent.
     """
     ids = np.arange(graph.n, dtype=np.int64)
     by_degree = _counting_sort_stable(graph.degrees.astype(np.int64), ids)

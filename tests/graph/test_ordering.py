@@ -144,3 +144,27 @@ class TestCorenessDegreeOrderIsLexsort:
         order = coreness_degree_order(g, core)
         expected = np.lexsort((g.degrees, core))
         assert order.new_to_old.tolist() == expected.tolist()
+
+
+def loop_counting_sort(keys, items):
+    """Reference: histogram, prefix sum and a sequential stable scatter."""
+    fill = [0] * (max(keys, default=0) + 1)
+    for k in keys:
+        fill[k] += 1
+    start = 0
+    for k, count in enumerate(fill):
+        fill[k], start = start, start + count
+    out = [None] * len(items)
+    for k, item in zip(keys, items):
+        out[fill[k]] = item
+        fill[k] += 1
+    return out
+
+
+class TestCountingSortMatchesScatter:
+    @given(st.lists(st.integers(0, 12), max_size=80))
+    @settings(max_examples=40, deadline=None)
+    def test_same_permutation_as_scatter(self, keys):
+        items = np.arange(100, 100 + len(keys), dtype=np.int64)
+        out = _counting_sort_stable(np.asarray(keys, dtype=np.int64), items)
+        assert out.tolist() == loop_counting_sort(keys, items.tolist())
